@@ -37,9 +37,10 @@ BENCHMARK(BM_VcBufferPushPop);
 void
 BM_RoutingTableLookup(benchmark::State &state)
 {
-    net::RoutingTable table(0);
+    net::RoutingTable table(0, {1, 2, 3, 4});
     for (FlowId f = 0; f < 1024; ++f)
         table.add(f % 5, f, net::RouteResult{1, f, 1.0});
+    table.freeze();
     Rng rng(3);
     FlowId f = 0;
     for (auto _ : state) {

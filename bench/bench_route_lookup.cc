@@ -1,38 +1,37 @@
 /**
  * @file
- * Route-table lookup microbench (ISSUE 8): the per-flit lookup cost of
- * the map-era `std::unordered_map<RouteKey, std::vector<RouteResult>>`
- * tables against the frozen common::FlatTable form the routing/VCA
- * tables now compile into before the first run.
+ * Route-table microbench: the per-flit lookup cost of the frozen
+ * common::FlatTable form the routing/VCA tables compile into, and the
+ * construction cost of building and freezing all-pairs routing tables.
  *
- * Each measured lookup does the work Router::do_route_compute's
- * weighted pick needs: resolve the key to its option list, read the
- * first option, and obtain the options' total weight. The map path
- * pays a bucket-pointer chase into a heap node, an indirection into
- * the option vector, and a per-lookup left-to-right weight
- * accumulation (what Rng::pick_weighted did); the flat path pays one
- * hash, a short linear probe in one contiguous slot array, and reads
- * the precomputed total. Both paths accumulate the same checksum, so
- * the bench doubles as a differential check.
+ * Lookup rows. Each measured lookup does the work
+ * Router::do_route_compute's weighted pick needs: one hash, a short
+ * linear probe in one contiguous slot array, the first option, and the
+ * precomputed total weight. Two regimes bracket the simulator's
+ * behaviour: `hot` keeps one small router table resident in cache (the
+ * steady state of a busy router re-resolving its few active flows),
+ * `cold` strides across many router tables so every lookup starts from
+ * a cold line (the many-router sweep of a large mesh time-slice). The
+ * lookup checksum is compared against one accumulated from the
+ * generated option lists, so the bench doubles as a differential
+ * check.
  *
- * Two regimes bracket the simulator's behaviour: `hot` keeps one
- * small router table resident in cache (the steady state of a busy
- * router re-resolving its few active flows), `cold` strides across
- * many router tables so every lookup starts from a cold line (the
- * many-router sweep of a large mesh time-slice). The flat_over_map
- * ratio rows carried the ISSUE 8 acceptance target (>= 3x on the hot
- * rows, met at 3.99x when the PR landed); the in-binary floor is now
- * 2.5x because the *map* side of the ratio swings with code layout —
- * unrelated TU edits in ISSUE 9 left the flat rate unchanged while
- * the map loop sped up ~40%, and the absolute flat throughput (the
- * signal that actually protects the simulator) is regression-gated
- * per row instead. All rows feed the perf-regression harness
+ * Construction rows. `mesh16_all_pairs_build_mentries_s` times
+ * routing::build_xy plus System::freeze_tables on a 16x16 mesh with
+ * all-pairs flows — the staged-record append and the sort-merge bulk
+ * load that dominate System construction — as millions of routing
+ * entries per second (a rate, so the regression gate applies to it;
+ * wall-second rows under the gate's 0.25 s floor are not gated).
+ * `mesh16_all_pairs_route_entries` is the exact entry count, so a
+ * builder change that alters the table shape fails the comparison.
+ *
+ * All rows feed the perf-regression harness
  * (scripts/check_bench_regression.py) via --json=PATH, and --quick
  * shortens the repetition counts with unchanged row names.
  */
 #include <algorithm>
 #include <cstdio>
-#include <unordered_map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -47,9 +46,6 @@ namespace {
 
 JsonReport report("bench_route_lookup");
 
-using MapTable = std::unordered_map<net::RouteKey,
-                                    std::vector<net::RouteResult>,
-                                    net::RouteKeyHash>;
 using FlatTable = common::FlatTable<net::RouteKey, net::RouteResult,
                                     net::RouteKeyHash>;
 
@@ -77,12 +73,13 @@ struct Draw
 /** One lookup of the sequence: which table, which key. */
 using Probe = std::pair<std::uint32_t, net::RouteKey>;
 
-/** The two table forms plus the shuffled lookup sequence. */
+/** The frozen tables, the shuffled lookup sequence, and the checksum
+ *  one pass over the sequence must produce. */
 struct Workload
 {
-    std::vector<MapTable> maps;
     std::vector<FlatTable> flats;
     std::vector<Probe> seq;
+    double expected = 0.0;
 };
 
 Workload
@@ -91,24 +88,27 @@ make_workload(std::uint32_t tables, std::uint32_t keys_per_table,
 {
     Draw d(seed);
     Workload w;
-    w.maps.resize(tables);
     w.flats.resize(tables);
+    std::vector<net::RouteResult> opts;
     for (std::uint32_t t = 0; t < tables; ++t) {
-        MapTable &m = w.maps[t];
-        while (m.size() < keys_per_table) {
+        std::set<std::pair<NodeId, FlowId>> seen;
+        w.flats[t].begin_build(keys_per_table, 2 * keys_per_table);
+        while (seen.size() < keys_per_table) {
             net::RouteKey k{static_cast<NodeId>(d.below(5)),
                             static_cast<FlowId>(d.below(1u << 20))};
-            auto &opts = m[k];
-            if (!opts.empty())
+            if (!seen.insert({k.prev_node, k.flow}).second)
                 continue; // duplicate draw
+            opts.clear();
             const std::size_t n = 1 + d.below(2);
             for (std::size_t i = 0; i < n; ++i)
                 opts.push_back({static_cast<NodeId>(d.below(64)),
                                 k.flow,
                                 0.5 * static_cast<double>(1 + d.below(4))});
+            w.flats[t].add_entry(k, opts.data(), opts.size());
             w.seq.emplace_back(t, k);
+            w.expected += static_cast<double>(opts.front().next_node);
+            w.expected += common::flat_total_weight(opts.data(), n);
         }
-        w.flats[t].build(m);
     }
     // Shuffle the probe order (Fisher-Yates on the stable PRNG): the
     // cold regime must not walk tables in construction order.
@@ -117,34 +117,8 @@ make_workload(std::uint32_t tables, std::uint32_t keys_per_table,
     return w;
 }
 
-/** Map-era lookup work, as Router::do_route_compute actually paid it:
- *  one find for the option scan, a second find inside pick() (the old
- *  RoutingTable::pick re-probed the map), each a bucket chase plus a
- *  vector indirection, plus the per-pick weight accumulation. Returns
- *  the checksum. */
-double
-run_map(const Workload &w, unsigned reps)
-{
-    double acc = 0.0;
-    for (unsigned r = 0; r < reps; ++r) {
-        for (const auto &[t, key] : w.seq) {
-            // The option scan (route-validity / adaptivity checks).
-            const auto it = w.maps[t].find(key);
-            acc += static_cast<double>(it->second.front().next_node);
-            // The weighted pick: the map era re-resolved the key.
-            const auto it2 = w.maps[t].find(key);
-            const std::vector<net::RouteResult> &opts = it2->second;
-            double total = 0.0;
-            for (const net::RouteResult &o : opts)
-                total = total + o.weight;
-            acc += total;
-        }
-    }
-    return acc;
-}
-
 /** Frozen lookup work: one probe, precomputed total. Returns the
- *  checksum (must equal run_map's bitwise). */
+ *  checksum. */
 double
 run_flat(const Workload &w, unsigned reps)
 {
@@ -177,34 +151,49 @@ rate_of(Fn fn, std::uint64_t lookups)
     return best;
 }
 
-/** Measure one regime and emit its three rows. */
-double
+/** Measure one lookup regime and emit its row. */
+void
 regime(const char *name, const Workload &w, unsigned reps)
 {
     const std::uint64_t lookups =
         static_cast<std::uint64_t>(w.seq.size()) * reps;
-    // Checksum equality doubles as a differential check: both paths
-    // accumulate option weights left to right over identical data.
-    const double map_acc = run_map(w, 1);
-    const double flat_acc = run_flat(w, 1);
-    if (map_acc != flat_acc)
-        fatal("flat table diverged from the map reference");
-
-    const double map_rate =
-        rate_of([&] { return run_map(w, reps); }, lookups);
+    // Every term is a small multiple of 0.5, so both sums are exact
+    // whatever order the shuffled probes add them in.
+    if (run_flat(w, 1) != w.expected)
+        fatal("flat table lookups diverged from the generated options");
     const double flat_rate =
         rate_of([&] { return run_flat(w, reps); }, lookups);
-    const double ratio = flat_rate / map_rate;
-    std::printf("%s,%zu,%.1f,%.1f,%.2f\n", name, w.seq.size(), map_rate,
-                flat_rate, ratio);
+    std::printf("%s,%zu,%.1f\n", name, w.seq.size(), flat_rate);
     char row[64];
-    std::snprintf(row, sizeof row, "%s_map_mlookups_s", name);
-    report.higher_is_better(row, map_rate);
     std::snprintf(row, sizeof row, "%s_flat_mlookups_s", name);
     report.higher_is_better(row, flat_rate);
-    std::snprintf(row, sizeof row, "%s_flat_over_map", name);
-    report.higher_is_better(row, ratio);
-    return ratio;
+}
+
+/** Build and freeze 16x16 all-pairs XY routing tables @p reps times;
+ *  emit the best build rate and the exact entry count. */
+void
+construction(unsigned reps)
+{
+    const net::Topology topo = net::Topology::mesh2d(16, 16);
+    const auto flows = traffic::flows_all_pairs(topo.num_nodes());
+    double best = 0.0;
+    std::uint64_t entries = 0;
+    for (unsigned r = 0; r < reps; ++r) {
+        sim::System sys(topo, net::NetworkConfig{}, 1);
+        const double secs = wall_seconds([&] {
+            net::routing::build_xy(sys.network(), flows);
+            sys.freeze_tables();
+        });
+        entries = 0;
+        for (NodeId n = 0; n < topo.num_nodes(); ++n)
+            entries += sys.network().router(n).routing_table().size();
+        best = std::max(best, static_cast<double>(entries) / secs / 1e6);
+    }
+    std::printf("mesh16_all_pairs,%llu,%.2f\n",
+                static_cast<unsigned long long>(entries), best);
+    report.higher_is_better("mesh16_all_pairs_build_mentries_s", best);
+    report.exact("mesh16_all_pairs_route_entries",
+                 static_cast<double>(entries));
 }
 
 } // namespace
@@ -214,25 +203,20 @@ main(int argc, char **argv)
 {
     const auto cli = BenchCli::parse(argc, argv);
 
-    std::printf("# Frozen flat route tables vs unordered_map lookup\n");
-    std::printf("regime,keys,map_mlookups_s,flat_mlookups_s,"
-                "flat_over_map\n");
+    std::printf("# Frozen flat route-table lookups\n");
+    std::printf("regime,keys,flat_mlookups_s\n");
 
     // Hot: one router-sized table, resident in cache.
     const Workload hot = make_workload(1, 256, 0x407e);
-    const double hot_ratio =
-        regime("hot", hot, cli.quick ? 4000 : 16000);
+    regime("hot", hot, cli.quick ? 4000 : 16000);
 
     // Cold: many router tables, each probe starting from a cold line.
     const Workload cold = make_workload(128, 512, 0xc01d);
     regime("cold", cold, cli.quick ? 8 : 32);
 
-    // Sanity floor on the cache-resident lookup path (see the file
-    // comment: the ISSUE 8 >=3x acceptance was measured against a
-    // map loop whose rate moves ~40% with code layout; the flat
-    // rate itself is the stable signal and is gated per row).
-    if (hot_ratio < 2.5)
-        fatal("hot flat_over_map ratio below the 2.5x sanity floor");
+    std::printf("# Routing-table construction (build_xy + freeze)\n");
+    std::printf("workload,entries,build_mentries_s\n");
+    construction(cli.quick ? 3 : 5);
 
     report.write_if_requested(cli);
     return 0;

@@ -102,8 +102,9 @@ struct BenchCli
 /**
  * Named numeric bench rows, writable as JSON for the perf-regression
  * harness. Each row carries the direction in which bigger is better
- * ("higher" for throughputs, "lower" for wall times), so the checker
- * needs no out-of-band knowledge; the report carries the run mode
+ * ("higher" for throughputs, "lower" for wall times, "exact" for
+ * deterministic counts that must not move), so the checker needs no
+ * out-of-band knowledge; the report carries the run mode
  * ("quick" or "full") because the two modes share row names while
  * measuring differently sized workloads — the checker refuses to
  * compare across modes. The output is a single object:
@@ -125,14 +126,22 @@ class JsonReport
     void
     higher_is_better(const std::string &name, double value)
     {
-        rows_.push_back({name, value, true});
+        rows_.push_back({name, value, "higher"});
     }
 
     /** Record a wall-time-style row (smaller is better). */
     void
     lower_is_better(const std::string &name, double value)
     {
-        rows_.push_back({name, value, false});
+        rows_.push_back({name, value, "lower"});
+    }
+
+    /** Record a deterministic count: any change from the baseline
+     *  fails the comparison, in either direction. */
+    void
+    exact(const std::string &name, double value)
+    {
+        rows_.push_back({name, value, "exact"});
     }
 
     /** Write the report to @p path, tagged with the run mode of
@@ -147,11 +156,12 @@ class JsonReport
                      bench_.c_str(), cli.quick ? "quick" : "full");
         for (std::size_t i = 0; i < rows_.size(); ++i)
             std::fprintf(f,
-                         "%s\n  {\"name\": \"%s\", \"value\": %.6g, "
+                         "%s\n  {\"name\": \"%s\", \"value\": %.*g, "
                          "\"better\": \"%s\"}",
                          i ? "," : "", rows_[i].name.c_str(),
-                         rows_[i].value,
-                         rows_[i].higher ? "higher" : "lower");
+                         std::strcmp(rows_[i].better, "exact") == 0 ? 17
+                                                                    : 6,
+                         rows_[i].value, rows_[i].better);
         std::fprintf(f, "\n]}\n");
         std::fclose(f);
     }
@@ -169,7 +179,7 @@ class JsonReport
     {
         std::string name;
         double value;
-        bool higher;
+        const char *better; ///< "higher", "lower" or "exact"
     };
     std::string bench_;
     std::vector<Row> rows_;

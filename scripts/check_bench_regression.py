@@ -8,13 +8,15 @@ Usage:
 Each report is the JSON written by bench_util.h's JsonReport:
 
   {"bench": "...", "mode": "quick"|"full", "rows": [
-    {"name": "...", "value": 1.23, "better": "higher"|"lower"}, ...]}
+    {"name": "...", "value": 1.23,
+     "better": "higher"|"lower"|"exact"}, ...]}
 
 The two reports must come from the same mode — quick and full runs
 share row names while measuring differently sized workloads, so a
 cross-mode comparison is refused outright. Rows are matched by name. A row regresses when it is worse than the
 baseline by more than the threshold fraction (direction taken from the
-row's "better" field: throughputs shrink, wall times grow). Rows
+row's "better" field: throughputs shrink, wall times grow); an
+"exact" row (a deterministic count) fails on any change at all. Rows
 missing from the current report fail too — a renamed row must be
 renamed in the baseline, not silently dropped. New rows are reported
 but never fail: they have no baseline yet.
@@ -43,7 +45,7 @@ def load_rows(path):
             doc = json.load(f)
         rows = {}
         for row in doc["rows"]:
-            if row["better"] not in ("higher", "lower"):
+            if row["better"] not in ("higher", "lower", "exact"):
                 raise ValueError(
                     f"row {row['name']!r}: bad 'better' value")
             rows[row["name"]] = (float(row["value"]), row["better"])
@@ -106,6 +108,15 @@ def main():
         if cbetter != better:
             failures.append(f"{name}: direction changed "
                             f"({better} -> {cbetter})")
+            continue
+        if better == "exact":
+            # Deterministic counts (table entries, footprint bytes):
+            # any change is a behaviour change, not timing noise.
+            verdict = "ok" if cval == bval else "CHANGED"
+            print(f"  {verdict:9} {name}: {bval:g} -> {cval:g} (exact)")
+            if cval != bval:
+                failures.append(f"{name}: {bval:g} -> {cval:g} "
+                                f"(exact row changed)")
             continue
         if bval == 0:
             change = 0.0

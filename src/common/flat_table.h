@@ -1,14 +1,9 @@
 /**
  * @file
- * Build-once open-addressing lookup table for the per-flit hot path
- * (ROADMAP: "Close the remaining per-flit cost").
+ * Build-once open-addressing lookup tables for the per-flit hot path.
  *
- * The routing and VC-allocation tables are immutable at run time, but
- * were stored as `std::unordered_map<Key, std::vector<Result>>`: every
- * per-flit lookup paid a bucket-pointer chase into a heap-scattered
- * node, then a second indirection into the option vector — ~25% of a
- * low-rate 16x16 run (BENCHMARKS.md). FlatTable is the frozen form the
- * tables compile into after construction:
+ * The routing and VC-allocation tables are immutable at run time.
+ * FlatTable is the form they are frozen into after construction:
  *
  *  - linear-probe open addressing over a power-of-two slot array at
  *    <= 50% load, so a lookup is one hash, one masked index, and a
@@ -19,24 +14,27 @@
  *    Arena (falling back to a private arena when none is supplied), so
  *    a router's table probes stay in its own cache/NUMA lines.
  *
- * The table is immutable once built: there is no insert, erase, or
- * tombstone — mutation belongs to the map form the owner keeps during
- * construction and drops at freeze time.
+ * A FlatTable is immutable once built: there is no insert, erase, or
+ * tombstone. StagedTable is the build side the owners use: add()
+ * appends (key, option) records to one plain vector, a single stable
+ * sort-merge pass groups them into entries, and freeze() bulk-loads
+ * the FlatTable through begin_build()/add_entry().
  *
  * The precomputed per-entry total weight uses the same left-to-right
  * accumulation as Rng::pick_weighted's std::accumulate, so a weighted
- * pick over a frozen entry draws bit-for-bit the same result as the
- * map-backed path did (the determinism contract of the freeze).
+ * pick over a frozen entry draws bit-for-bit what a per-pick
+ * accumulation would (the determinism contract of the freeze).
  */
 #ifndef HORNET_COMMON_FLAT_TABLE_H
 #define HORNET_COMMON_FLAT_TABLE_H
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/arena.h"
@@ -46,9 +44,8 @@ namespace hornet::common {
 
 /**
  * One frozen table entry: a read-only view of a packed option list.
- * Mimics the `const std::vector<V> *` the map-backed tables used to
- * return (size/empty/front/operator[]/range-for), so call sites keep
- * their idioms across the freeze.
+ * Offers the container idioms call sites use on an option list
+ * (size/empty/front/operator[]/range-for).
  */
 template <typename V>
 struct FlatEntry
@@ -80,10 +77,10 @@ struct FlatEntry
 };
 
 /**
- * Recompute a FlatEntry's total weight from its options, left to
- * right — the shared helper both the frozen build and the map-backed
- * building-phase lookups use, so the two paths are bitwise identical.
- * Option types without a `weight` member total 0.0.
+ * A FlatEntry's total weight from its options, accumulated left to
+ * right — shared by the frozen build and the staged-entry walk, so
+ * both report bitwise-identical totals. Option types without a
+ * `weight` member total 0.0.
  */
 template <typename V>
 inline double
@@ -123,7 +120,7 @@ class FlatTable
     /** Slot marker: no entry hashed here. */
     static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
 
-    /** True once build()/begin_build() has run. */
+    /** True once begin_build() has run. */
     bool built() const { return slots_ != nullptr; }
 
     /** Number of keys in the table. */
@@ -210,24 +207,6 @@ class FlatTable
     }
 
     /**
-     * One-shot build from the mutable map form the owner kept during
-     * construction. Entry order follows the map's iteration order
-     * (deterministic for a given insertion sequence), which only
-     * affects slab layout, never lookup results.
-     */
-    void
-    build(const std::unordered_map<K, std::vector<V>, H> &src,
-          Arena *arena = nullptr)
-    {
-        std::size_t n_values = 0;
-        for (const auto &kv : src)
-            n_values += kv.second.size();
-        begin_build(src.size(), n_values, arena);
-        for (const auto &kv : src)
-            add_entry(kv.first, kv.second.data(), kv.second.size());
-    }
-
-    /**
      * Single-probe lookup: the entry for @p key, or nullptr when the
      * key is absent. The returned view stays valid for the table's
      * lifetime (the table is immutable once built).
@@ -287,6 +266,170 @@ class FlatTable
     std::uint32_t max_probe_ = 0;
     /** Fallback storage when no placement arena was supplied. */
     std::unique_ptr<Arena> own_arena_;
+};
+
+/**
+ * The build side of a frozen lookup table (net::RoutingTable,
+ * net::VcaTable), plus the FlatTable it freezes into.
+ *
+ * stage() appends a (key, option) record to a plain vector. The one
+ * sort-merge pass stable-sorts the records by key, so each key's
+ * options keep their first-add order, and folds every duplicate
+ * option (`V::same_option`) into the earlier one by adding its weight
+ * in add order — bitwise what accumulating each add into a per-key
+ * list gives. The pass calls the owner's @p check(key, option) on
+ * every surviving option. It works in place, so it may rerun after
+ * further stage() calls. freeze() bulk-loads the FlatTable and drops
+ * the records; lookup() before it and stage() after it panic.
+ */
+template <typename K, typename V, typename H>
+class StagedTable
+{
+  public:
+    /** The entry view lookups and walks hand out. */
+    using Entry = FlatEntry<V>;
+
+    StagedTable() = default;
+    StagedTable(const StagedTable &) = delete;
+    StagedTable &operator=(const StagedTable &) = delete;
+
+    /** True once freeze() or adopt() has run. */
+    bool frozen() const { return table_ != nullptr; }
+
+    /** Append one record (panics once frozen). */
+    void
+    stage(const K &key, const V &value)
+    {
+        if (frozen())
+            panic("table add() after freeze() (" + describe() + ")");
+        records_.push_back(Record{key, value});
+    }
+
+    /** Frozen entry for @p key, or nullptr when absent (panics before
+     *  freeze()). */
+    const Entry *
+    lookup(const K &key) const
+    {
+        if (table_ == nullptr) [[unlikely]]
+            panic("table lookup() before freeze() (" + describe() + ")");
+        return table_->lookup(key);
+    }
+
+    /** Apply @p fn(key, entry) to every entry: the frozen table's, or
+     *  else the sort-merged records' in key order (their views are
+     *  valid only during the call). */
+    template <typename Check, typename Fn>
+    void
+    for_each_entry(Check check, Fn fn) const
+    {
+        if (frozen()) {
+            table_->for_each_key(fn);
+            return;
+        }
+        compact(check);
+        std::vector<V> opts;
+        for (std::size_t i = 0; i < records_.size();) {
+            const K &key = records_[i].key;
+            opts.clear();
+            for (; i < records_.size() && records_[i].key == key; ++i)
+                opts.push_back(records_[i].value);
+            fn(key, Entry{opts.data(), static_cast<std::uint32_t>(
+                                           opts.size()),
+                          flat_total_weight(opts.data(), opts.size())});
+        }
+    }
+
+    /** Sort-merge, bulk-load the FlatTable (carved from @p arena, or a
+     *  private arena when null) and drop the records. Idempotent. */
+    template <typename Check>
+    void
+    freeze(Arena *arena, Check check)
+    {
+        if (frozen())
+            return;
+        compact(check);
+        own_.begin_build(merged_keys_, records_.size(), arena);
+        for_each_entry(check, [&](const K &key, const Entry &e) {
+            own_.add_entry(key, e.data, e.count);
+        });
+        std::vector<Record>().swap(records_);
+        table_ = &own_;
+    }
+
+    /** Share @p donor's frozen storage (which must outlive this table)
+     *  instead of building one. Panics unless this table is empty and
+     *  unfrozen and @p donor is frozen. */
+    void
+    adopt(const StagedTable &donor)
+    {
+        if (frozen() || !records_.empty() || !donor.frozen())
+            panic("table adopt() needs an empty table and a frozen donor (" +
+                  describe() + "; donor " + donor.describe() + ")");
+        table_ = donor.table_;
+    }
+
+    /** Number of frozen entries (keys); 0 before freeze(). */
+    std::size_t size() const { return frozen() ? table_->size() : 0; }
+
+    /** One-line phase/size/probe diagnostics for panic messages. */
+    std::string
+    describe() const
+    {
+        if (!frozen())
+            return strcat("staged: ", records_.size(), " records");
+        return strcat(table_ == &own_ ? "frozen" : "adopted",
+                      " flat table: ", table_->size(), " entries, capacity ",
+                      table_->capacity(), ", max probe ",
+                      table_->max_probe());
+    }
+
+  private:
+    /** One staged (key, option) record. */
+    struct Record
+    {
+        K key;
+        V value;
+    };
+
+    /** The sort-merge pass; a no-op when nothing was staged since the
+     *  last one. */
+    template <typename Check>
+    void
+    compact(Check check) const
+    {
+        if (merged_ == records_.size())
+            return;
+        std::stable_sort(
+            records_.begin(), records_.end(),
+            [](const Record &a, const Record &b) { return a.key < b.key; });
+        std::size_t out = 0;
+        merged_keys_ = 0;
+        for (std::size_t i = 0; i < records_.size(); ++merged_keys_) {
+            const std::size_t first = out;
+            const K key = records_[i].key;
+            for (; i < records_.size() && records_[i].key == key; ++i) {
+                const V &v = records_[i].value;
+                std::size_t j = first;
+                while (j < out && !records_[j].value.same_option(v))
+                    ++j;
+                if (j < out) {
+                    records_[j].value.weight += v.weight;
+                } else {
+                    check(key, v);
+                    records_[out++] = records_[i];
+                }
+            }
+        }
+        records_.resize(out);
+        merged_ = out;
+    }
+
+    mutable std::vector<Record> records_; ///< sort-merged in place
+    mutable std::size_t merged_ = 0;      ///< [0, merged_) is merged
+    mutable std::size_t merged_keys_ = 0; ///< keys after the last merge
+    FlatTable<K, V, H> own_;
+    /// Frozen storage lookups probe: &own_, or an adopted donor's.
+    const FlatTable<K, V, H> *table_ = nullptr;
 };
 
 } // namespace hornet::common

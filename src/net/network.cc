@@ -66,10 +66,8 @@ Network::Network(const Topology &topo, const NetworkConfig &cfg,
     // Phase 2 — wire every directed link: the egress of a toward b
     // feeds the ingress buffers of b's port facing a. Each group wires
     // only its own routers' egresses (reading neighbors' ingress
-    // buffers, which phase 1 fully built), and constructs the link
-    // arbiters owned by its own lower-id endpoints, so again all
-    // writes are group-private.
-    owned_links_.resize(n);
+    // buffers, which phase 1 fully built), so again all writes are
+    // group-private.
     common::for_each_group(pl, [&](unsigned g) {
         const auto [first, last] = group_range(g);
         for (NodeId a = first; a < last; ++a) {
@@ -81,19 +79,29 @@ Network::Network(const Topology &topo, const NetworkConfig &cfg,
                     p, b, routers_[b]->ingress_buffers(q),
                     cfg_.link_latency);
             }
-            if (!cfg_.bidirectional_links)
-                continue;
-            for (NodeId b : nbrs) {
-                if (b < a)
-                    continue; // one arbiter per undirected link
-                PortId pa = topo_.port_to(a, b);
-                PortId pb = topo_.port_to(b, a);
-                owned_links_[a].push_back(pl.of(a)->make<BidirLink>(
-                    routers_[a], pa, routers_[b], pb,
-                    2 * cfg_.router.link_bandwidth));
-            }
         }
     });
+
+    // Phase 3 — link arbiters, owned by their lower-id endpoints. An
+    // arbiter snapshots both endpoints' egress credits, possibly across
+    // groups, so it waits for phase 2; it writes only its two ports.
+    owned_links_.resize(n);
+    if (cfg_.bidirectional_links) {
+        common::for_each_group(pl, [&](unsigned g) {
+            const auto [first, last] = group_range(g);
+            for (NodeId a = first; a < last; ++a) {
+                for (NodeId b : topo_.neighbors(a)) {
+                    if (b < a)
+                        continue; // one arbiter per undirected link
+                    PortId pa = topo_.port_to(a, b);
+                    PortId pb = topo_.port_to(b, a);
+                    owned_links_[a].push_back(pl.of(a)->make<BidirLink>(
+                        routers_[a], pa, routers_[b], pb,
+                        2 * cfg_.router.link_bandwidth));
+                }
+            }
+        });
+    }
 
     // Flat link list, assembled serially in node order so iteration
     // order is deterministic regardless of construction parallelism.

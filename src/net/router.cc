@@ -11,11 +11,10 @@ Router::Router(NodeId id, const std::vector<NodeId> &neighbors,
                const RouterConfig &cfg, Rng *rng, TileStats *stats,
                common::Arena *arena)
     : id_(id), num_net_ports_(static_cast<std::uint32_t>(neighbors.size())),
-      cfg_(cfg), rng_(rng), stats_(stats)
+      cfg_(cfg), rng_(rng), stats_(stats), table_(id, neighbors)
 {
     if (rng_ == nullptr || stats_ == nullptr)
         fatal("router requires rng and stats sinks");
-    table_ = RoutingTable(id);
 
     // The router's buffers and egress ports go back-to-back into the
     // caller's arena, so all of one shard's hot flit storage ends up

@@ -114,12 +114,12 @@ class Router : public sim::Clocked
     const VcaTable &vca_table() const { return vca_table_; }
 
     /**
-     * Compile the routing and VCA tables into their frozen flat forms
-     * (common::FlatTable), carving storage from the arena this router
-     * was constructed into, so its per-flit probes stay in its own
-     * placement group's cache/NUMA lines. Called by sim::System before
-     * the first run, once table building is complete; idempotent.
-     * After it, table add() panics.
+     * Sort-merge the staged routing and VCA records into their frozen
+     * flat forms (common::FlatTable), carving storage from the arena
+     * this router was constructed into, so its per-flit probes stay in
+     * its own placement group's cache/NUMA lines. Called by sim::System
+     * before the first run, once table building is complete;
+     * idempotent. After it, table add() panics.
      */
     void
     freeze_tables()

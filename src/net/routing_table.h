@@ -12,23 +12,20 @@
  *
  * Delivery is expressed as next_node_id == the node itself.
  *
- * The table has two phases. While building (the routing builders run
- * at construction time) entries live in a mutable hash map and add()
- * accumulates weights. freeze() then compiles the map into a
- * common::FlatTable — single-probe open addressing with all option
- * lists packed into one arena slab — and drops the map; the per-flit
- * hot path (Router::do_route_compute) only ever sees the frozen form.
- * add() after freeze() panics. Lookups work identically in both
- * phases: they return a FlatEntry view (or nullptr when absent) whose
- * precomputed total weight keeps the weighted pick's RNG draws
- * bit-for-bit identical to the historical map-backed path.
+ * The builders only add(): each call appends a (key, option) record.
+ * freeze() sort-merges the records (common::StagedTable: first-add
+ * option order, duplicate weights accumulated in add order), rejects
+ * entries that arrive from or route to a non-neighbour, and bulk-loads
+ * a single-probe common::FlatTable — the only form lookups read.
  */
 #ifndef HORNET_NET_ROUTING_TABLE_H
 #define HORNET_NET_ROUTING_TABLE_H
 
+#include <compare>
 #include <cstdint>
+#include <functional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/flat_table.h"
@@ -46,6 +43,14 @@ struct RouteResult
     FlowId next_flow = kInvalidFlow;
     /** Selection propensity among the entry's options. */
     double weight = 1.0;
+
+    /** Same next hop and renamed flow: a duplicate add() of this
+     *  option accumulates weight instead of adding a second one. */
+    bool
+    same_option(const RouteResult &o) const
+    {
+        return next_node == o.next_node && next_flow == o.next_flow;
+    }
 };
 
 /** Key of a routing-table entry. */
@@ -56,15 +61,12 @@ struct RouteKey
     /** Flow id carried by the packet. */
     FlowId flow;
 
-    /** Keys are equal when both fields match. */
-    bool
-    operator==(const RouteKey &o) const
-    {
-        return prev_node == o.prev_node && flow == o.flow;
-    }
+    /** Field-wise equality and (prev_node, flow) order — the order
+     *  freeze() sorts staged records by. */
+    auto operator<=>(const RouteKey &) const = default;
 };
 
-/** Hash functor for RouteKey (map and flat-table support). */
+/** Hash functor for RouteKey (flat-table slot placement). */
 struct RouteKeyHash
 {
     /** Mix both key fields into a table hash. */
@@ -79,30 +81,30 @@ struct RouteKeyHash
     }
 };
 
-/**
- * One node's routing table (two-phase: mutable map while building,
- * frozen flat table at run time — see the file comment).
- */
+/** One node's routing table (staged records, then frozen — see the
+ *  file comment). */
 class RoutingTable
 {
   public:
     /** The option-set view lookups return. */
     using Options = common::FlatEntry<RouteResult>;
 
-    /** Table of node @p node (the delivery sentinel). */
-    explicit RoutingTable(NodeId node = kInvalidNode) : node_(node) {}
+    /** Table of node @p node (the delivery sentinel), linked to
+     *  @p neighbors: entries may arrive from and route to those nodes
+     *  or @p node itself. */
+    RoutingTable(NodeId node, std::vector<NodeId> neighbors)
+        : node_(node), neighbors_(std::move(neighbors))
+    {}
 
-    /** The node this table routes for. */
-    NodeId node() const { return node_; }
-
-    /** Add (accumulate) a weighted next-hop option for <prev, flow>.
-     *  Adding an option that already exists accumulates its weight.
-     *  Panics once the table is frozen. */
+    /** Stage a weighted next-hop option for <prev, flow>; adding an
+     *  option that already exists accumulates its weight at freeze.
+     *  Non-finite or non-positive weights are fatal; panics once the
+     *  table is frozen. */
     void add(NodeId prev_node, FlowId flow, const RouteResult &result);
 
     /** All options for <prev, flow>, or nullptr when absent. The view
-     *  is stable after freeze(); while building it is invalidated by
-     *  the next add() or lookup() of the same key. */
+     *  is stable for the frozen storage's lifetime. Panics before
+     *  freeze(). */
     const Options *lookup(NodeId prev_node, FlowId flow) const;
 
     /** Weighted random pick among the options (panics when absent). */
@@ -111,10 +113,10 @@ class RoutingTable
     /**
      * Weighted random pick among already-looked-up options: the hot
      * path pairs one lookup() with one pick_from() instead of paying
-     * the probe twice. Draw-for-draw identical to the map-era pick():
-     * a single-option entry draws nothing; a multi-option entry draws
-     * one uniform scaled by the precomputed total weight and
-     * subtract-scans in option order. @p opts must be non-empty.
+     * the probe twice. A single-option entry draws nothing; a
+     * multi-option entry draws one uniform scaled by the precomputed
+     * total weight and subtract-scans in option order. @p opts must be
+     * non-empty.
      */
     const RouteResult &
     pick_from(const Options &opts, Rng &rng) const
@@ -130,67 +132,50 @@ class RoutingTable
         return opts[opts.count - 1];
     }
 
+    /** Apply @p fn(key, options) to every entry, before or after
+     *  freeze(). Before it, this runs the validating merge pass and the
+     *  views are valid only during the call. */
+    void for_each_entry(
+        const std::function<void(const RouteKey &, const Options &)> &fn)
+        const;
+
     /**
-     * Compile the mutable map into the frozen flat form, carving slots
-     * and the packed option slab from @p arena (the owning router's
-     * placement-group arena; null falls back to a private arena), then
-     * drop the map. Idempotent; after it, add() panics.
+     * Merge the staged records and bulk-load the frozen flat form,
+     * carving slots and the packed option slab from @p arena (the
+     * owning router's placement-group arena; null falls back to a
+     * private arena). Panics, with describe(), on an entry that
+     * arrives from or routes to a non-neighbour. Idempotent; after it,
+     * add() panics.
      */
     void freeze(common::Arena *arena = nullptr);
 
     /**
-     * Share a donor's frozen flat table instead of building one: all
-     * frozen-phase reads (lookup/keys/size/describe) are served from
-     * the donor's storage, so per-run Systems instantiated from a
-     * sim::SystemBlueprint skip the whole build+freeze pass and share
-     * one read-only table across concurrent runs. Panics unless this
-     * table is empty and unfrozen and @p donor is frozen. The donor
-     * (or the blueprint owning it) must outlive this table; adoption
-     * chains resolve to the original storage, so adopting an adopter
-     * is fine. After adopt() this table reports frozen() and add()
-     * panics, exactly as after freeze().
+     * Share a donor's frozen flat table instead of building one, so
+     * per-run Systems instantiated from a sim::SystemBlueprint skip the
+     * build+freeze pass and share one read-only table. Panics unless
+     * this table is empty and unfrozen and @p donor is frozen. The
+     * donor's storage must outlive this table; adopting an adopter is
+     * fine. Afterwards frozen() holds and add() panics.
      */
-    void adopt(const RoutingTable &donor);
+    void adopt(const RoutingTable &donor) { staged_.adopt(donor.staged_); }
 
     /** True once freeze() (or adopt()) has run. */
-    bool frozen() const { return frozen_; }
+    bool frozen() const { return staged_.frozen(); }
 
-    /** Number of table entries (keys). */
-    std::size_t
-    size() const
-    {
-        return frozen_ ? flat().size() : entries_.size();
-    }
-
-    /** All keys (tests / table sanity checks); works in both phases. */
-    std::vector<RouteKey> keys() const;
+    /** Number of frozen entries (keys); 0 before freeze(). */
+    std::size_t size() const { return staged_.size(); }
 
     /** One-line phase/size/probe diagnostics for panic messages. */
-    std::string describe() const;
+    std::string describe() const { return staged_.describe(); }
 
   private:
-    /** Building-phase entry: the option vector plus a lookup view
-     *  refreshed on each lookup (mutable: lookups are const). */
-    struct Building
-    {
-        std::vector<RouteResult> opts; ///< accumulated options
-        mutable Options view;          ///< view returned by lookup()
-    };
-
-    /** Frozen storage to read from: adopted donor's or our own. */
-    const common::FlatTable<RouteKey, RouteResult, RouteKeyHash> &
-    flat() const
-    {
-        return shared_ != nullptr ? *shared_ : flat_;
-    }
+    /** The merge pass's per-option check: panics on a prev_node or
+     *  next_node that is neither this node nor a neighbour. */
+    void validate(const RouteKey &k, const RouteResult &r) const;
 
     NodeId node_;
-    bool frozen_ = false;
-    std::unordered_map<RouteKey, Building, RouteKeyHash> entries_;
-    common::FlatTable<RouteKey, RouteResult, RouteKeyHash> flat_;
-    /** Donor storage when adopt() ran (null = own flat_). */
-    const common::FlatTable<RouteKey, RouteResult, RouteKeyHash> *shared_ =
-        nullptr;
+    std::vector<NodeId> neighbors_;
+    common::StagedTable<RouteKey, RouteResult, RouteKeyHash> staged_;
 };
 
 /**
@@ -199,7 +184,7 @@ class RoutingTable
  * delivery sentinel), sorted and deduplicated. This is the flow set
  * System::freeze_tables() registers with the tile's FlowStatsTable;
  * sim::SystemBlueprint precomputes it once per node so instantiated
- * systems skip the walk. Works in both table phases.
+ * systems skip the walk. Works before and after freeze().
  */
 std::vector<FlowId> deliverable_flows(const RoutingTable &table, NodeId node);
 

@@ -23,14 +23,15 @@
  * allocating router *is* the buffers' producer), exact with respect to
  * every push the router has performed and to credits committed at the
  * consumer's negedge (docs/ENGINE.md, "VcBuffer memory model").
+ *
+ * Tables are staged and sort-merged at freeze like RoutingTable's.
  */
 #ifndef HORNET_NET_VCA_H
 #define HORNET_NET_VCA_H
 
+#include <compare>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "common/flat_table.h"
 #include "common/types.h"
@@ -59,6 +60,9 @@ struct VcaResult
     VcId vc = kInvalidVc;
     /** Selection propensity among the entry's candidates. */
     double weight = 1.0;
+
+    /** Same VC: a duplicate add() accumulates weight at freeze. */
+    bool same_option(const VcaResult &o) const { return vc == o.vc; }
 };
 
 /** Key of a VCA table entry. */
@@ -73,16 +77,12 @@ struct VcaKey
     /** Flow id after this hop's renaming. */
     FlowId next_flow;
 
-    /** Keys are equal when all four fields match. */
-    bool
-    operator==(const VcaKey &o) const
-    {
-        return prev_node == o.prev_node && flow == o.flow &&
-               next_node == o.next_node && next_flow == o.next_flow;
-    }
+    /** Field-wise equality and lexicographic order (the freeze sort
+     *  order). */
+    auto operator<=>(const VcaKey &) const = default;
 };
 
-/** Hash functor for VcaKey (unordered_map support). */
+/** Hash functor for VcaKey (flat-table slot placement). */
 struct VcaKeyHash
 {
     /** Mix the four key fields into a table hash. */
@@ -103,11 +103,10 @@ struct VcaKeyHash
  * equal weight" (pure dynamic VCA), so tables only need populating for
  * restricted schemes.
  *
- * Two-phase like RoutingTable: a mutable map while the VCA builders
- * run, compiled by freeze() into a single-probe common::FlatTable for
- * the per-packet stage-A lookup (Router::try_vc_allocate); add() after
- * freeze() panics. lookup() returns the same view type in both phases,
- * keeping the nullptr contract.
+ * add() stages records; freeze() sort-merges them into a
+ * single-probe common::FlatTable for the per-packet stage-A lookup
+ * (Router::try_vc_allocate). lookup() before freeze() and add() after
+ * it panic.
  */
 class VcaTable
 {
@@ -115,68 +114,40 @@ class VcaTable
     /** The candidate-set view lookups return. */
     using Options = common::FlatEntry<VcaResult>;
 
-    /** An empty table: pure dynamic VCA everywhere. */
-    VcaTable() = default;
-
-    /** Add (accumulate) a candidate VC for the four-tuple key.
-     *  Panics once the table is frozen. */
+    /** Stage a candidate VC for the four-tuple key; a repeated VC
+     *  accumulates its weight at freeze. Non-finite or non-positive
+     *  weights are fatal; panics once the table is frozen. */
     void add(const VcaKey &key, const VcaResult &result);
 
     /** Candidate set for the key, or nullptr (= all VCs, equal weight).
-     *  The view is stable after freeze(); while building it is
-     *  invalidated by the next add() or lookup() of the same key. */
+     *  Panics before freeze(). */
     const Options *lookup(const VcaKey &key) const;
 
-    /**
-     * Compile the mutable map into the frozen flat form (slots and the
-     * packed candidate slab carved from @p arena; null falls back to a
-     * private arena), then drop the map. Idempotent.
-     */
-    void freeze(common::Arena *arena = nullptr);
+    /** Sort-merge the staged records into the frozen flat form (slots
+     *  and the packed candidate slab carved from @p arena; null falls
+     *  back to a private arena). Idempotent. */
+    void
+    freeze(common::Arena *arena = nullptr)
+    {
+        staged_.freeze(arena, [](const VcaKey &, const VcaResult &) {});
+    }
 
-    /**
-     * Share a donor's frozen flat table instead of building one (the
-     * sim::SystemBlueprint seam — see RoutingTable::adopt, which this
-     * mirrors exactly). Panics unless this table is empty and unfrozen
-     * and @p donor is frozen; the donor must outlive this table;
-     * adoption chains resolve to the original storage.
-     */
-    void adopt(const VcaTable &donor);
+    /** Share a donor's frozen flat table instead of building one (the
+     *  sim::SystemBlueprint seam; see RoutingTable::adopt, which this
+     *  mirrors exactly). */
+    void adopt(const VcaTable &donor) { staged_.adopt(donor.staged_); }
 
     /** True once freeze() (or adopt()) has run. */
-    bool frozen() const { return frozen_; }
+    bool frozen() const { return staged_.frozen(); }
 
-    /** Number of table entries (keys). */
-    std::size_t
-    size() const
-    {
-        return frozen_ ? flat().size() : entries_.size();
-    }
+    /** Number of frozen entries (keys); 0 before freeze(). */
+    std::size_t size() const { return staged_.size(); }
 
     /** One-line phase/size/probe diagnostics for panic messages. */
-    std::string describe() const;
+    std::string describe() const { return staged_.describe(); }
 
   private:
-    /** Building-phase entry: candidate vector plus the lookup view
-     *  refreshed on each lookup (mutable: lookups are const). */
-    struct Building
-    {
-        std::vector<VcaResult> opts; ///< accumulated candidates
-        mutable Options view;        ///< view returned by lookup()
-    };
-
-    /** Frozen storage to read from: adopted donor's or our own. */
-    const common::FlatTable<VcaKey, VcaResult, VcaKeyHash> &
-    flat() const
-    {
-        return shared_ != nullptr ? *shared_ : flat_;
-    }
-
-    bool frozen_ = false;
-    std::unordered_map<VcaKey, Building, VcaKeyHash> entries_;
-    common::FlatTable<VcaKey, VcaResult, VcaKeyHash> flat_;
-    /** Donor storage when adopt() ran (null = own flat_). */
-    const common::FlatTable<VcaKey, VcaResult, VcaKeyHash> *shared_ = nullptr;
+    common::StagedTable<VcaKey, VcaResult, VcaKeyHash> staged_;
 };
 
 } // namespace hornet::net

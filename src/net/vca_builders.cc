@@ -14,15 +14,14 @@ for_each_transition(Network &net, Fn fn)
 {
     for (NodeId n = 0; n < net.num_nodes(); ++n) {
         Router &r = net.router(n);
-        const RoutingTable &rt = r.routing_table();
-        for (const RouteKey &key : rt.keys()) {
-            const auto *opts = rt.lookup(key.prev_node, key.flow);
-            for (const RouteResult &res : *opts) {
-                if (res.next_node == n)
-                    continue; // delivery to the CPU port: keep dynamic
-                fn(r, key, res);
-            }
-        }
+        r.routing_table().for_each_entry(
+            [&](const RouteKey &key, const RoutingTable::Options &opts) {
+                for (const RouteResult &res : opts) {
+                    if (res.next_node == n)
+                        continue; // delivery to the CPU port: keep dynamic
+                    fn(r, key, res);
+                }
+            });
     }
 }
 

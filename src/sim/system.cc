@@ -251,8 +251,7 @@ System::run(SyncPolicy &policy, const EngineOptions &opts,
             unsigned threads)
 {
     attach_default_sinks();
-    if (freeze_enabled_)
-        freeze_tables();
+    freeze_tables();
     Engine engine(tiles_, threads);
     const Cycle end = engine.run(policy, opts);
     last_engine_stats_ = engine.last_run_stats();

@@ -160,10 +160,10 @@ class System
               unsigned threads = 1);
 
     /**
-     * Compile the per-flit lookup structures: every router's routing
-     * and VCA tables freeze into their flat single-probe forms, and
-     * every tile's deliverable-flow set (the original flows of its
-     * routing table's delivery entries) freezes into the dense
+     * Compile the per-flit lookup structures: every router's staged
+     * routing and VCA records sort-merge into their flat single-probe
+     * forms, and every tile's deliverable-flow set (the original flows
+     * of its routing table's delivery entries) freezes into the dense
      * flow-stats index — all carved from the owning placement group's
      * arena, on that group's construction thread. Called automatically
      * before the first run once table building is complete;
@@ -202,14 +202,6 @@ class System
      * building a fresh System. Must not be called during a run.
      */
     bool reset_for_rerun(std::uint64_t seed);
-
-    /**
-     * Disable (or re-enable) the automatic pre-run freeze_tables().
-     * Test-only knob: the differential harness runs frozen and
-     * unfrozen systems side by side to prove the freeze is bitwise
-     * neutral. Must be set before the first run().
-     */
-    void set_freeze_tables(bool on) { freeze_enabled_ = on; }
 
     /** True once freeze_tables() has run. */
     bool tables_frozen() const { return tables_frozen_; }
@@ -251,7 +243,6 @@ class System
     std::vector<Tile *> tiles_; ///< arena-placed, non-owning
     std::unique_ptr<net::Network> network_;
     bool sinks_attached_ = false;
-    bool freeze_enabled_ = true;
     bool tables_frozen_ = false;
     EngineRunStats last_engine_stats_;
 };

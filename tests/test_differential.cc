@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/stats.h"
 #include "net/routing/builders.h"
 #include "net/topology.h"
 #include "net/vca.h"
@@ -340,15 +341,12 @@ make_policy(const DiffConfig &c)
     return p;
 }
 
-/** Build + run one variant; return the stats fingerprint. @p freeze
- *  false disables the pre-run flat-table freeze (ISSUE 8), running on
- *  the mutable map-backed tables instead. */
+/** Build + run one variant; return the stats fingerprint. */
 std::string
 run_variant(const DiffConfig &c, Schedule sched, unsigned threads,
-            SystemStats *stats_out = nullptr, bool freeze = true)
+            SystemStats *stats_out = nullptr)
 {
     auto sys = build_system(c);
-    sys->set_freeze_tables(freeze);
     auto policy = make_policy(c);
     EngineOptions opts;
     opts.max_cycles = c.horizon;
@@ -427,34 +425,107 @@ TEST(Differential, RandomConfigsAgreeAcrossSchedulersAndThreads)
     EXPECT_GT(lockstep_configs, n / 4);
 }
 
-TEST(Differential, FrozenTablesAreBitwiseNeutral)
+/** One pinned golden: a small config-schema system per routing
+ *  scheme and the stats_fingerprint digest it must reproduce. */
+struct Golden
 {
-    // The flat-table freeze (ISSUE 8) compiles the routing/VCA tables
-    // and the flow-stats index into their frozen forms before the
-    // first run; it must be invisible in results. Run each drawn
-    // configuration with the freeze enabled and disabled and demand
-    // identical full-fidelity fingerprints — on every scheduler, and
-    // multi-threaded where the config is bitwise at all.
-    const std::uint64_t limit = 12;
-    const std::uint64_t n =
-        config_count() < limit ? config_count() : limit;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const DiffConfig c = draw_config(i);
-        SCOPED_TRACE("config " + std::to_string(i) + ": " +
-                     c.describe());
-        for (Schedule sched : {Schedule::Poll, Schedule::Event,
-                               Schedule::EventFine}) {
-            const std::string frozen = run_variant(c, sched, 1);
-            const std::string unfrozen =
-                run_variant(c, sched, 1, nullptr, false);
-            EXPECT_EQ(frozen, unfrozen)
-                << "sched=" << static_cast<int>(sched);
-        }
-        if (c.thread_bitwise()) {
-            EXPECT_EQ(
-                run_variant(c, Schedule::EventFine, 4),
-                run_variant(c, Schedule::EventFine, 4, nullptr, false));
-        }
+    const char *scheme;
+    const char *config;
+    std::uint64_t digest;
+};
+
+/** Run a config-schema system under one scheduler / thread-count
+ *  variant (lockstep); return its stats_fingerprint digest. */
+std::uint64_t
+golden_digest(const char *text, Schedule sched, unsigned threads)
+{
+    auto sys = traffic::build_system(Config::from_string(text));
+    sim::CycleAccurateSync policy;
+    EngineOptions opts;
+    opts.max_cycles = 400;
+    opts.schedule = sched;
+    sys->run(policy, opts, threads);
+    const SystemStats stats = sys->collect_stats();
+    EXPECT_GT(stats.total.packets_delivered, 0u);
+    return stats_fingerprint(stats);
+}
+
+TEST(Differential, GoldenDigestsPerRoutingScheme)
+{
+    // The routing and VCA tables are staged as (key, option) records
+    // and sort-merged into their flat form at freeze. The merge keeps
+    // each key's options in first-add order and accumulates duplicate
+    // weights in add order, so the weighted picks draw exactly what the
+    // earlier hash-map build drew. These digests were recorded with
+    // that map build; every routing scheme must reproduce them under
+    // poll and event-fine at 1 and 4 threads.
+    const Golden kGoldens[] = {
+        {"xy",
+         "[topology]\nkind = mesh\nwidth = 4\nheight = 4\n"
+         "[routing]\nscheme = xy\n[network]\nvca = edvca\n"
+         "[traffic]\npattern = uniform\nrate = 0.1\npacket_size = 4\n"
+         "[sim]\nseed = 2\n",
+         0x0e5895e40457c51eull},
+        {"o1turn",
+         "[topology]\nkind = mesh\nwidth = 4\nheight = 4\n"
+         "[routing]\nscheme = o1turn\n[network]\nadaptive = true\n"
+         "[traffic]\npattern = transpose\nrate = 0.15\n"
+         "packet_size = 4\n[sim]\nseed = 3\n",
+         0xbf738a380408b010ull},
+        {"romm",
+         "[topology]\nkind = mesh\nwidth = 4\nheight = 4\n"
+         "[routing]\nscheme = romm\n"
+         "[traffic]\npattern = shuffle\nrate = 0.15\npacket_size = 2\n"
+         "[sim]\nseed = 4\n",
+         0xee1e621781e3956eull},
+        {"valiant",
+         "[topology]\nkind = mesh\nwidth = 4\nheight = 3\n"
+         "[routing]\nscheme = valiant\n"
+         "[traffic]\npattern = uniform\nrate = 0.1\npacket_size = 4\n"
+         "[sim]\nseed = 5\n",
+         0xc2812c2fa13ca2ddull},
+        {"prom",
+         "[topology]\nkind = mesh\nwidth = 3\nheight = 3\n"
+         "[routing]\nscheme = prom\n[network]\nvca = faa\n"
+         "[traffic]\npattern = uniform\nrate = 0.2\npacket_size = 4\n"
+         "[sim]\nseed = 6\n",
+         0x04757f3b38170edeull},
+        {"static",
+         "[topology]\nkind = mesh\nwidth = 4\nheight = 4\n"
+         "[routing]\nscheme = static\n[network]\nvca = static\n"
+         "[traffic]\npattern = bitcomp\nrate = 0.15\npacket_size = 4\n"
+         "[sim]\nseed = 7\n",
+         0x9e6c1700acf52a09ull},
+        {"updown",
+         "[topology]\nkind = fat_tree\nlevels = 2\narity = 2\n"
+         "[routing]\nscheme = updown\n"
+         "[traffic]\npattern = uniform\nrate = 0.2\npacket_size = 4\n"
+         "[sim]\nseed = 8\n",
+         0xc8203a89ea3e8592ull},
+        {"dragonfly",
+         "[topology]\nkind = dragonfly\ngroups = 4\nrouters = 2\n"
+         "hosts = 2\n[routing]\nscheme = dragonfly\n"
+         "[traffic]\npattern = uniform\nrate = 0.1\npacket_size = 8\n"
+         "[sim]\nseed = 9\n",
+         0x7c437d85e798f156ull},
+        {"dragonfly-valiant",
+         "[topology]\nkind = dragonfly\ngroups = 4\nrouters = 2\n"
+         "hosts = 2\n[routing]\nscheme = dragonfly-valiant\n"
+         "[traffic]\npattern = transpose\nrate = 0.15\n"
+         "packet_size = 2\n[sim]\nseed = 10\n",
+         0xcdb8cb5eee7cf55bull},
+    };
+    for (const Golden &g : kGoldens) {
+        SCOPED_TRACE(g.scheme);
+        for (Schedule sched : {Schedule::Poll, Schedule::EventFine})
+            for (unsigned threads : {1u, 4u}) {
+                const std::uint64_t got =
+                    golden_digest(g.config, sched, threads);
+                EXPECT_EQ(got, g.digest)
+                    << "sched=" << static_cast<int>(sched)
+                    << " threads=" << threads << " got 0x" << std::hex
+                    << got;
+            }
     }
 }
 

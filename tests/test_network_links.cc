@@ -12,28 +12,17 @@
 #include "net/network.h"
 #include "net/routing/builders.h"
 #include "net/topology.h"
+#include "test_util.h"
 
 namespace hornet::net {
 namespace {
 
-struct Harness
+/** Standalone network with node RNGs seeded 50 + i. */
+struct Harness : testutil::NetHarness
 {
-    std::vector<std::unique_ptr<Rng>> rngs;
-    std::vector<std::unique_ptr<TileStats>> stats;
-    std::unique_ptr<Network> net;
-
     explicit Harness(const Topology &topo, NetworkConfig cfg = {})
-    {
-        std::vector<Rng *> rp;
-        std::vector<TileStats *> sp;
-        for (NodeId i = 0; i < topo.num_nodes(); ++i) {
-            rngs.push_back(std::make_unique<Rng>(50 + i));
-            stats.push_back(std::make_unique<TileStats>());
-            rp.push_back(rngs.back().get());
-            sp.push_back(stats.back().get());
-        }
-        net = std::make_unique<Network>(topo, cfg, rp, sp);
-    }
+        : NetHarness(topo, cfg, 50)
+    {}
 };
 
 TEST(Network, BuildsRouterPerNodeWithMatchingPorts)
@@ -122,6 +111,7 @@ TEST(BidirLink, AsymmetricDemandGetsFullPool)
     auto topo = Topology::mesh2d(2, 1);
     Harness h(topo, cfg);
     routing::build_xy(*h.net, {{1, 0, 1, 1.0}});
+    h.freeze();
 
     Router &a = h.net->router(0);
     // Inject a 4-flit packet by hand into A's injection VC.

@@ -26,31 +26,13 @@
 #include "net/routing/paths.h"
 #include "net/routing_table.h"
 #include "net/topology.h"
+#include "test_util.h"
 #include "traffic/flows.h"
 
 namespace hornet::net {
 namespace {
 
-/** Owns the per-node RNG/stats a Network needs. */
-struct NetHarness
-{
-    std::vector<std::unique_ptr<Rng>> rngs;
-    std::vector<std::unique_ptr<TileStats>> stats;
-    std::unique_ptr<Network> net;
-
-    explicit NetHarness(const Topology &topo, NetworkConfig cfg = {})
-    {
-        std::vector<Rng *> rp;
-        std::vector<TileStats *> sp;
-        for (NodeId i = 0; i < topo.num_nodes(); ++i) {
-            rngs.push_back(std::make_unique<Rng>(1000 + i));
-            stats.push_back(std::make_unique<TileStats>());
-            rp.push_back(rngs.back().get());
-            sp.push_back(stats.back().get());
-        }
-        net = std::make_unique<Network>(topo, cfg, rp, sp);
-    }
-};
+using testutil::NetHarness;
 
 /** Tiny deterministic generator for the property sweep itself. */
 struct Draw
@@ -165,6 +147,7 @@ sweep_minimal(Builder build, std::uint64_t salt)
         NetHarness net(topo);
         const auto flows = random_flows(d, w * h, 10);
         build(*net.net, flows);
+        net.freeze();
         for (const auto &fl : flows)
             for (std::uint64_t seed = 1; seed <= 8; ++seed) {
                 SCOPED_TRACE("flow " + std::to_string(fl.id) +
@@ -202,6 +185,7 @@ TEST(RoutingProps, O1turnRealizesExactlyXyOrYxSubroutes)
         NetHarness net(topo);
         const auto flows = random_flows(d, w * h, 8);
         routing::build_o1turn(*net.net, flows);
+        net.freeze();
         for (const auto &fl : flows) {
             const auto xy = routing::xy_path(topo, fl.src, fl.dst);
             const auto yx = routing::yx_path(topo, fl.src, fl.dst);
@@ -240,6 +224,8 @@ sweep_deterministic(Builder build, std::uint64_t salt)
     const auto flows = random_flows(d, w * h, 12);
     build(*a.net, flows);
     build(*b.net, flows);
+    a.freeze();
+    b.freeze();
     for (const auto &fl : flows)
         for (std::uint64_t seed = 1; seed <= 8; ++seed) {
             Rng ra(seed), rb(seed);
@@ -319,6 +305,7 @@ TEST(RoutingProps, ShortestWalksMatchHopDistanceEverywhere)
         NetHarness net(topo);
         const auto flows = random_host_flows(d, topo.hosts(), 12);
         routing::build_shortest(*net.net, flows);
+        net.freeze();
         for (const auto &fl : flows)
             for (std::uint64_t seed = 1; seed <= 4; ++seed) {
                 Rng rng(seed);
@@ -343,6 +330,7 @@ TEST(RoutingProps, UpdownWalksAreMinimal)
         NetHarness net(topo);
         const auto flows = random_host_flows(d, topo.hosts(), 14);
         routing::build_updown(*net.net, flows);
+        net.freeze();
         for (const auto &fl : flows)
             for (std::uint64_t seed = 1; seed <= 6; ++seed) {
                 Rng rng(seed);
@@ -364,6 +352,8 @@ TEST(RoutingProps, UpdownConstructionIsDeterministic)
     const auto flows = random_host_flows(d, topo.hosts(), 16);
     routing::build_updown(*a.net, flows);
     routing::build_updown(*b.net, flows);
+    a.freeze();
+    b.freeze();
     for (const auto &fl : flows)
         for (std::uint64_t seed = 1; seed <= 6; ++seed) {
             Rng ra(seed), rb(seed);
@@ -386,6 +376,7 @@ TEST(RoutingProps, DragonflyMinimalWalksAreDirect)
         NetHarness net(topo);
         const auto flows = random_host_flows(d, topo.hosts(), 14);
         routing::build_dragonfly_minimal(*net.net, flows);
+        net.freeze();
         for (const auto &fl : flows)
             for (std::uint64_t seed = 1; seed <= 4; ++seed) {
                 Rng rng(seed);
@@ -412,6 +403,8 @@ TEST(RoutingProps, DragonflyValiantWalksDeliver)
     const auto flows = random_host_flows(d, topo.hosts(), 14);
     routing::build_dragonfly_valiant(*a.net, flows);
     routing::build_dragonfly_valiant(*b.net, flows);
+    a.freeze();
+    b.freeze();
     for (const auto &fl : flows)
         for (std::uint64_t seed = 1; seed <= 8; ++seed) {
             Rng ra(seed), rb(seed);
@@ -448,6 +441,7 @@ TEST(RoutingProps, SwitchNodesNeverTerminateFlows)
         NetHarness net(c.topo);
         const auto flows = random_host_flows(d, c.topo.hosts(), 12);
         c.build(*net.net, flows);
+        net.freeze();
         for (NodeId n = 0; n < c.topo.num_nodes(); ++n) {
             if (!c.topo.is_switch(n))
                 continue;

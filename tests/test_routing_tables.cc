@@ -5,7 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -15,30 +18,12 @@
 #include "net/routing/paths.h"
 #include "net/routing_table.h"
 #include "net/vca_builders.h"
+#include "test_util.h"
 
 namespace hornet::net {
 namespace {
 
-/** Owns the per-node RNG/stats a Network needs. */
-struct NetHarness
-{
-    std::vector<std::unique_ptr<Rng>> rngs;
-    std::vector<std::unique_ptr<TileStats>> stats;
-    std::unique_ptr<Network> net;
-
-    NetHarness(const Topology &topo, NetworkConfig cfg = {})
-    {
-        std::vector<Rng *> rp;
-        std::vector<TileStats *> sp;
-        for (NodeId i = 0; i < topo.num_nodes(); ++i) {
-            rngs.push_back(std::make_unique<Rng>(1000 + i));
-            stats.push_back(std::make_unique<TileStats>());
-            rp.push_back(rngs.back().get());
-            sp.push_back(stats.back().get());
-        }
-        net = std::make_unique<Network>(topo, cfg, rp, sp);
-    }
-};
+using testutil::NetHarness;
 
 /**
  * Walk the routing tables from src like a packet would (weighted
@@ -69,15 +54,17 @@ table_walk(Network &net, NodeId src, FlowId flow, Rng &rng,
 
 TEST(RoutingTable, LookupMissingReturnsNull)
 {
-    RoutingTable t(3);
+    RoutingTable t(3, {0});
+    t.freeze();
     EXPECT_EQ(t.lookup(0, 42), nullptr);
 }
 
 TEST(RoutingTable, AddAccumulatesDuplicateOptions)
 {
-    RoutingTable t(0);
+    RoutingTable t(0, {1});
     t.add(0, 7, RouteResult{1, 7, 1.0});
     t.add(0, 7, RouteResult{1, 7, 2.0});
+    t.freeze();
     const auto *opts = t.lookup(0, 7);
     ASSERT_NE(opts, nullptr);
     ASSERT_EQ(opts->size(), 1u);
@@ -86,28 +73,151 @@ TEST(RoutingTable, AddAccumulatesDuplicateOptions)
 
 TEST(RoutingTable, NonPositiveWeightRejected)
 {
-    RoutingTable t(0);
+    RoutingTable t(0, {1});
     EXPECT_THROW(t.add(0, 1, RouteResult{1, 1, 0.0}), std::runtime_error);
+}
+
+TEST(RoutingTable, NonFiniteWeightRejected)
+{
+    // NaN fails every comparison, so a plain `weight <= 0` check let it
+    // through; infinities would poison the entry's total weight.
+    RoutingTable t(0, {1});
+    for (double w : {std::nan(""), HUGE_VAL, -HUGE_VAL})
+        EXPECT_THROW(t.add(0, 1, RouteResult{1, 1, w}), std::runtime_error)
+            << "weight " << w;
+    VcaTable v;
+    for (double w : {std::nan(""), HUGE_VAL, -HUGE_VAL, 0.0})
+        EXPECT_THROW(v.add(VcaKey{0, 1, 1, 1}, VcaResult{0, w}),
+                     std::runtime_error)
+            << "weight " << w;
 }
 
 TEST(RoutingTable, PickMissingPanics)
 {
-    RoutingTable t(0);
+    RoutingTable t(0, {});
+    t.freeze();
     Rng rng(1);
     EXPECT_THROW(t.pick(0, 1, rng), std::logic_error);
 }
 
 TEST(RoutingTable, WeightedPickRespectsWeights)
 {
-    RoutingTable t(0);
+    RoutingTable t(0, {1, 2});
     t.add(0, 1, RouteResult{1, 1, 1.0});
     t.add(0, 1, RouteResult{2, 1, 3.0});
+    t.freeze();
     Rng rng(5);
     int to2 = 0;
     const int n = 20000;
     for (int i = 0; i < n; ++i)
         to2 += t.pick(0, 1, rng).next_node == 2;
     EXPECT_NEAR(static_cast<double>(to2) / n, 0.75, 0.02);
+}
+
+TEST(RoutingTable, FreezeKeepsFirstAddOrderAndAddOrderWeights)
+{
+    // Adds interleave across keys, arrive out of key order, and repeat
+    // options with weights whose sum depends on association order:
+    // (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3) in binary floating point.
+    const double in_add_order = (0.1 + 0.2) + 0.3;
+    ASSERT_NE(in_add_order, 0.1 + (0.2 + 0.3));
+
+    RoutingTable t(4, {1, 3, 5, 7});
+    t.add(7, 12, {1, 12, 1.0});
+    t.add(1, 10, {5, 10, 0.1});
+    t.add(3, 11, {7, 11, 1.0});
+    t.add(1, 10, {3, 10, 0.5});
+    t.add(3, 11, {4, 11, 2.0});
+    t.add(1, 10, {5, 10, 0.2});
+    // A staged walk merges early; later adds must still fold into the
+    // merged options in add order.
+    std::size_t walked = 0;
+    t.for_each_entry([&](const RouteKey &, const RoutingTable::Options &) {
+        ++walked;
+    });
+    EXPECT_EQ(walked, 3u);
+    t.add(1, 10, {5, 10, 0.3});
+    t.add(3, 11, {7, 11, 0.25});
+    t.add(1, 10, {1, 11, 0.7});
+    t.freeze();
+    EXPECT_EQ(t.size(), 3u);
+
+    const auto *a = t.lookup(1, 10);
+    ASSERT_NE(a, nullptr);
+    ASSERT_EQ(a->size(), 3u);
+    EXPECT_EQ((*a)[0].next_node, 5u);
+    EXPECT_EQ((*a)[0].weight, in_add_order); // bitwise
+    EXPECT_EQ((*a)[1].next_node, 3u);
+    EXPECT_EQ((*a)[1].weight, 0.5);
+    EXPECT_EQ((*a)[2].next_node, 1u);
+    EXPECT_EQ((*a)[2].next_flow, 11u);
+    EXPECT_EQ(a->total_weight, (in_add_order + 0.5) + 0.7);
+
+    const auto *b = t.lookup(3, 11);
+    ASSERT_NE(b, nullptr);
+    ASSERT_EQ(b->size(), 2u);
+    EXPECT_EQ((*b)[0].next_node, 7u);
+    EXPECT_EQ((*b)[0].weight, 1.25);
+    EXPECT_EQ((*b)[1].next_node, 4u); // delivery
+    EXPECT_EQ((*b)[1].weight, 2.0);
+
+    const auto *c = t.lookup(7, 12);
+    ASSERT_NE(c, nullptr);
+    ASSERT_EQ(c->size(), 1u);
+    EXPECT_EQ(c->front().next_node, 1u);
+}
+
+/** The panic message of @p fn, or "" when it does not panic. */
+template <typename Fn>
+std::string
+panic_message(Fn fn)
+{
+    try {
+        fn();
+    } catch (const std::logic_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(RoutingTable, FreezeRejectsNonNeighborNextNode)
+{
+    RoutingTable t(4, {1, 3});
+    t.add(1, 10, {3, 10, 1.0});
+    t.add(1, 11, {9, 11, 1.0});
+    const std::string msg = panic_message([&] { t.freeze(); });
+    EXPECT_NE(msg.find("routes to non-neighbor 9"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("staged:"), std::string::npos) << msg; // describe()
+}
+
+TEST(RoutingTable, FreezeRejectsNonNeighborPrevNode)
+{
+    RoutingTable t(4, {1, 3});
+    t.add(8, 10, {3, 10, 1.0});
+    const std::string msg = panic_message([&] { t.freeze(); });
+    EXPECT_NE(msg.find("arrives from non-neighbor 8"), std::string::npos)
+        << msg;
+}
+
+TEST(RoutingTable, StagedWalkValidatesToo)
+{
+    // The walk the VCA builders use runs the same merge pass, so a bad
+    // entry fails there, before any VCA table is built from it.
+    RoutingTable t(4, {1, 3});
+    t.add(4, 10, {6, 10, 1.0});
+    EXPECT_THROW(t.for_each_entry([](const RouteKey &,
+                                     const RoutingTable::Options &) {}),
+                 std::logic_error);
+}
+
+TEST(RoutingTable, NetworkFreezeRejectsNonNeighborRoute)
+{
+    // On a 3x3 mesh node 0 links to 1 and 3 only: a route straight to
+    // node 8 fails at freeze, not when a flit reaches the entry.
+    NetHarness h(Topology::mesh2d(3, 3));
+    h.net->router(0).routing_table().add(0, 5, RouteResult{8, 5, 1.0});
+    EXPECT_THROW(h.freeze(), std::logic_error);
 }
 
 // ---------------------------------------------------------------------
@@ -159,6 +269,7 @@ TEST(BuildXy, InstallsDeterministicRoute)
     NetHarness h(Topology::mesh2d(3, 3));
     std::vector<FlowSpec> flows{{100, 6, 2, 1.0}};
     routing::build_xy(*h.net, flows);
+    h.freeze();
 
     Rng rng(9);
     // Every step has exactly one option; the walk ends at node 2.
@@ -174,6 +285,7 @@ TEST(BuildXy, SelfFlowDeliversLocally)
     NetHarness h(Topology::mesh2d(3, 3));
     std::vector<FlowSpec> flows{{5, 4, 4, 1.0}};
     routing::build_xy(*h.net, flows);
+    h.freeze();
     Rng rng(2);
     EXPECT_EQ(table_walk(*h.net, 4, 5, rng), 4u);
 }
@@ -186,6 +298,7 @@ TEST(BuildXy, AllPairsReachDestination)
         for (NodeId d = 0; d < 16; ++d)
             flows.push_back({static_cast<FlowId>(s * 16 + d), s, d, 1.0});
     routing::build_xy(*h.net, flows);
+    h.freeze();
     Rng rng(3);
     for (const auto &f : flows)
         ASSERT_EQ(table_walk(*h.net, f.src, f.id, rng), f.dst)
@@ -201,6 +314,7 @@ TEST(BuildO1turn, SourceSplitsEvenlyBetweenPhases)
     NetHarness h(Topology::mesh2d(3, 3));
     std::vector<FlowSpec> flows{{100, 6, 2, 1.0}};
     routing::build_o1turn(*h.net, flows);
+    h.freeze();
 
     const auto *opts = h.net->router(6).routing_table().lookup(6, 100);
     ASSERT_NE(opts, nullptr);
@@ -223,6 +337,7 @@ TEST(BuildO1turn, WalksDeliverOnBothSubroutes)
     NetHarness h(Topology::mesh2d(4, 4));
     std::vector<FlowSpec> flows{{7, 0, 15, 1.0}};
     routing::build_o1turn(*h.net, flows);
+    h.freeze();
     Rng rng(11);
     for (int i = 0; i < 200; ++i)
         ASSERT_EQ(table_walk(*h.net, 0, 7, rng), 15u);
@@ -233,6 +348,7 @@ TEST(BuildO1turn, DegenerateRowStillDelivers)
     NetHarness h(Topology::mesh2d(4, 4));
     std::vector<FlowSpec> flows{{7, 0, 3, 1.0}}; // same row
     routing::build_o1turn(*h.net, flows);
+    h.freeze();
     Rng rng(13);
     for (int i = 0; i < 50; ++i)
         ASSERT_EQ(table_walk(*h.net, 0, 7, rng), 3u);
@@ -253,6 +369,7 @@ TEST(BuildRomm, PaperNode4Example)
     const FlowId f = 100;
     std::vector<FlowSpec> flows{{f, 6, 2, 1.0}};
     routing::build_romm(*h.net, flows);
+    h.freeze();
     const FlowId ph1 = flowid::with_phase(f, 1);
     const FlowId ph2 = flowid::with_phase(f, 2);
 
@@ -285,6 +402,7 @@ TEST(BuildRomm, WalksAlwaysDeliver)
     NetHarness h(Topology::mesh2d(4, 4));
     std::vector<FlowSpec> flows{{3, 1, 14, 1.0}, {4, 15, 0, 1.0}};
     routing::build_romm(*h.net, flows);
+    h.freeze();
     Rng rng(17);
     for (int i = 0; i < 300; ++i) {
         ASSERT_EQ(table_walk(*h.net, 1, 3, rng), 14u);
@@ -300,6 +418,7 @@ TEST(BuildRomm, PathsStayInMinimumRectangle)
     const NodeId src = topo.node_at(1, 1), dst = topo.node_at(3, 2);
     std::vector<FlowSpec> flows{{f, src, dst, 1.0}};
     routing::build_romm(*h.net, flows);
+    h.freeze();
     Rng rng(19);
     for (int trial = 0; trial < 200; ++trial) {
         NodeId node = src, prev = src;
@@ -328,6 +447,7 @@ TEST(BuildValiant, WalksDeliverAndLeaveRectangle)
     const FlowId f = 9;
     std::vector<FlowSpec> flows{{f, 5, 6, 1.0}}; // adjacent pair
     routing::build_valiant(*h.net, flows);
+    h.freeze();
     Rng rng(23);
     bool left_rect = false;
     for (int i = 0; i < 400; ++i) {
@@ -362,6 +482,7 @@ TEST(BuildProm, WeightsCountRemainingPaths)
     const FlowId f = 4;
     std::vector<FlowSpec> flows{{f, 0, 8, 1.0}}; // (0,0) -> (2,2)
     routing::build_prom(*h.net, flows);
+    h.freeze();
     // At the source: 6 minimal paths total, 3 through each direction.
     const auto *opts = h.net->router(0).routing_table().lookup(0, f);
     ASSERT_NE(opts, nullptr);
@@ -378,6 +499,7 @@ TEST(BuildProm, WalksDeliverMinimally)
     const NodeId src = topo.node_at(4, 3), dst = topo.node_at(1, 0);
     std::vector<FlowSpec> flows{{f, src, dst, 1.0}};
     routing::build_prom(*h.net, flows);
+    h.freeze();
     Rng rng(29);
     const std::uint32_t min_hops = topo.hop_distance(src, dst);
     for (int i = 0; i < 200; ++i) {
@@ -415,6 +537,7 @@ TEST(BuildShortest, WorksOnRingAndTorus)
                                  topo.num_nodes(),
                              1.0});
         routing::build_shortest(*h.net, flows);
+        h.freeze();
         Rng rng(31);
         for (const auto &fl : flows)
             ASSERT_EQ(table_walk(*h.net, fl.src, fl.id, rng), fl.dst);
@@ -428,6 +551,7 @@ TEST(BuildShortest, WorksOnMultilayerMesh)
     std::vector<FlowSpec> flows{{1, topo.node_at(2, 2, 0),
                                  topo.node_at(2, 2, 1), 1.0}};
     routing::build_shortest(*h.net, flows);
+    h.freeze();
     Rng rng(37);
     EXPECT_EQ(table_walk(*h.net, flows[0].src, 1, rng), flows[0].dst);
 }
@@ -442,6 +566,7 @@ TEST(BuildStaticGreedy, SpreadsLoadAcrossPaths)
     for (FlowId i = 0; i < 6; ++i)
         flows.push_back({i, 0, 15, 1.0});
     routing::build_static_greedy(*h.net, flows, 2.0);
+    h.freeze();
     Rng rng(41);
     // All delivered...
     for (const auto &fl : flows)
@@ -468,6 +593,7 @@ TEST(VcaBuilders, PhaseSplitSeparatesO1turnSubroutes)
     std::vector<FlowSpec> flows{{100, 6, 2, 1.0}};
     routing::build_o1turn(*h.net, flows);
     vca::build_phase_split(*h.net);
+    h.freeze();
 
     const FlowId ph1 = flowid::with_phase(FlowId{100}, 1);
     const FlowId ph2 = flowid::with_phase(FlowId{100}, 2);
@@ -504,6 +630,7 @@ TEST(VcaBuilders, StaticSetPinsFlowToOneVc)
     std::vector<FlowSpec> flows{{101, 6, 2, 1.0}};
     routing::build_xy(*h.net, flows);
     vca::build_static_set(*h.net);
+    h.freeze();
     const auto *v = h.net->router(6).vca_table().lookup(
         VcaKey{6, 101, 7, 101});
     ASSERT_NE(v, nullptr);
@@ -519,6 +646,7 @@ TEST(VcaBuilders, DeliveryHopsStayDynamic)
     std::vector<FlowSpec> flows{{100, 6, 2, 1.0}};
     routing::build_o1turn(*h.net, flows);
     vca::build_phase_split(*h.net);
+    h.freeze();
     // The delivery entry (next == self) must not be constrained.
     const FlowId ph1 = flowid::with_phase(FlowId{100}, 1);
     EXPECT_EQ(h.net->router(2).vca_table().lookup(VcaKey{5, ph1, 2, 100}),

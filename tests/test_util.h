@@ -1,9 +1,10 @@
 /**
  * @file
- * Shared helpers for the engine/sync-policy test suites: the canonical
- * transpose-mesh and giant-shuffle-mesh system builders, the
- * explicit-scheduler run wrapper, and the full-fidelity statistics
- * fingerprint used by every bitwise-determinism assertion.
+ * Shared helpers for the test suites: the standalone-network harness
+ * of the routing-table suites, the canonical transpose-mesh and
+ * giant-shuffle-mesh system builders, the explicit-scheduler run
+ * wrapper, and the full-fidelity statistics fingerprint used by every
+ * bitwise-determinism assertion.
  */
 #ifndef HORNET_TESTS_TEST_UTIL_H
 #define HORNET_TESTS_TEST_UTIL_H
@@ -11,7 +12,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/rng.h"
+#include "common/stats.h"
+#include "net/network.h"
 #include "net/routing/builders.h"
 #include "net/topology.h"
 #include "sim/system.h"
@@ -20,6 +25,41 @@
 #include "traffic/synthetic.h"
 
 namespace hornet::testutil {
+
+/** Owns the per-node RNG/stats a standalone net::Network needs (the
+ *  routing-table and link suites build networks without a
+ *  sim::System); node i's RNG is seeded @p seed_base + i. */
+struct NetHarness
+{
+    std::vector<std::unique_ptr<Rng>> rngs;
+    std::vector<std::unique_ptr<TileStats>> stats;
+    std::unique_ptr<net::Network> net;
+
+    explicit NetHarness(const net::Topology &topo,
+                        net::NetworkConfig cfg = {},
+                        std::uint64_t seed_base = 1000)
+    {
+        std::vector<Rng *> rp;
+        std::vector<TileStats *> sp;
+        for (NodeId i = 0; i < topo.num_nodes(); ++i) {
+            rngs.push_back(std::make_unique<Rng>(seed_base + i));
+            stats.push_back(std::make_unique<TileStats>());
+            rp.push_back(rngs.back().get());
+            sp.push_back(stats.back().get());
+        }
+        net = std::make_unique<net::Network>(topo, cfg, rp, sp);
+    }
+
+    /** Freeze every router's routing and VCA tables, as
+     *  sim::System::freeze_tables does before a run: lookups and
+     *  picks only read frozen tables. Call once the builders ran. */
+    void
+    freeze()
+    {
+        for (NodeId n = 0; n < net->num_nodes(); ++n)
+            net->router(n).freeze_tables();
+    }
+};
 
 /** side x side transpose mesh with one synthetic injector per node. */
 inline std::unique_ptr<sim::System>
